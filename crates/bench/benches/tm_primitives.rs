@@ -9,9 +9,9 @@ fn bench_counter_txns(c: &mut Criterion) {
     let mut group = c.benchmark_group("counter_txn");
     for sys in SystemKind::ALL_TM {
         group.bench_with_input(BenchmarkId::from_parameter(sys.label()), &sys, |b, &sys| {
-            // Native mode (no simulation scheduling), single thread:
-            // measures raw barrier + commit overhead.
-            let rt = TmRuntime::new(TmConfig::new(sys, 1).simulate(false));
+            // Single thread: measures raw barrier + commit overhead
+            // (plus one uncontended scheduler turn per flush).
+            let rt = TmRuntime::new(TmConfig::new(sys, 1));
             let cell = rt.heap().alloc_cell(0u64);
             b.iter(|| {
                 rt.run(|ctx| {
@@ -37,7 +37,7 @@ fn bench_read_heavy_txn(c: &mut Criterion) {
         SystemKind::LazyHybrid,
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(sys.label()), &sys, |b, &sys| {
-            let rt = TmRuntime::new(TmConfig::new(sys, 1).simulate(false));
+            let rt = TmRuntime::new(TmConfig::new(sys, 1));
             let arr = rt.heap().alloc_array::<u64>(64, 1);
             b.iter(|| {
                 rt.run(|ctx| {

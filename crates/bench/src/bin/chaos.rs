@@ -118,7 +118,7 @@ fn run_one(
     let rep = run_variant(v, scale, cfg);
     let repro = format!(
         "repro: {} under {} threads={threads} scale={scale} \
-         TM_SCHED_SEED={sched_seed} TM_FAULT={} TM_WATCHDOG=aborts={},cycles={}",
+         --sched-seed {sched_seed} --fault {} --watchdog aborts={},cycles={}",
         v.name,
         sys.label(),
         fault.spec(),

@@ -23,12 +23,12 @@
 //! `--threads N`, `--scale N`, `--seed0 S` (first seed of a sweep),
 //! `--json <path>`.
 //!
-//! `--faults <spec>` composes fault injection (the `TM_FAULT` grammar,
-//! see `tm::fault`) with schedule fuzzing: each run derives its fault
-//! seed from the spec's seed and the scheduler seed, so one sweep
-//! explores (schedule × fault) space while staying an exact repro.
-//! Faulted runs additionally assert the liveness invariants
-//! (commits + aborts == attempts, every thread commits).
+//! `--faults <spec>` composes fault injection (the `--fault` grammar,
+//! see `tm::FaultConfig::parse`) with schedule fuzzing: each run
+//! derives its fault seed from the spec's seed and the scheduler seed,
+//! so one sweep explores (schedule × fault) space while staying an
+//! exact repro. Faulted runs additionally assert the liveness
+//! invariants (commits + aborts == attempts, every thread commits).
 
 use bench::json::{report_row, JsonSink};
 use bench::{golden, run_variant, selected_variants};
@@ -100,13 +100,13 @@ fn fuzz_one(
     let mut fault_note = String::new();
     if let Some(spec) = faults {
         let fc = fault_at(spec, sched_seed);
-        fault_note = format!(" TM_FAULT={}", fc.spec());
+        fault_note = format!(" --fault {}", fc.spec());
         cfg = cfg.fault(fc);
     }
     let rep = run_variant(v, scale, cfg);
     let repro = format!(
-        "repro: {} under {} mode={} threads={threads} scale={scale} \
-         TM_SCHED_SEED={sched_seed}{fault_note}",
+        "repro: {} under {} threads={threads} scale={scale} \
+         --sched {} --sched-seed {sched_seed}{fault_note}",
         v.name,
         sys.label(),
         mode.label(),

@@ -12,13 +12,12 @@
 //! | `table4` | Table IV (per-app characterization + `tm::prof` cycle breakdown; `--list` prints the 30 recommended configurations; `--check` byte-verifies `results/table4.json`) |
 //! | `table6` | Table VI (transactional characterization; `--working-sets` adds the cache sweep) |
 //! | `figure1` | Figure 1 (speedups, 20 variants × 6 systems × 1–16 cores; `--plot` for ASCII charts, `--with-lock` for the lock baseline) |
-//! | `ablation_backoff` | §V-B3 (contention management) |
 //! | `ablation_granularity` | §V-B1 (word vs line conflict detection) |
 //! | `ablation_earlyrelease` | §III-B5/§V-B5 (labyrinth early release) |
 //! | `ablation_sigsize` | Table V signatures (hybrid false conflicts) |
 //! | `ablation_stall` | eager-HTM requester-aborts vs LogTM-style stalls |
 //! | `ablation_bayes_backend` | bayes ADtree vs record-scan sufficient statistics |
-//! | `ablation_cm` | §V-A contention management: the five `tm::cm` policies on the high-contention variants |
+//! | `ablation_cm` | §V-A/§V-B3 contention management: the five `tm::cm` policies on the high-contention variants (`--system` pins one system; `scripts/reproduce.sh` loops it over all six on intruder for `results/ablation_backoff.txt`) |
 //! | `schedfuzz` | deterministic-schedule explorer: seed sweeps + PCT adversarial interleavings under the sanitizer, and the `results/golden/` cycle-count regression files; `--faults <spec>` composes fault injection with the seed sweep |
 //! | `chaos` | `tm::fault` robustness sweep: fault rates × (sched, fault) seed pairs × all 6 systems, sanitizer + liveness invariants as pass/fail, degradation curve in `results/chaos.txt` |
 //!

@@ -81,7 +81,7 @@ pub fn table4_config(system: SystemKind, threads: usize) -> TmConfig {
 pub fn characterize(v: &Variant, scale: u32, system: SystemKind, threads: usize) -> AppReport {
     let rep = run_variant(v, scale, table4_config(system, threads));
     let repro = format!(
-        "{} under {} threads={threads} scale={scale} TM_SCHED_SEED={GOLDEN_SCHED_SEED}",
+        "{} under {} threads={threads} scale={scale} --sched-seed {GOLDEN_SCHED_SEED}",
         v.name,
         system.label()
     );

@@ -1,7 +1,9 @@
 //! Helpers shared by the application binaries: building a [`TmConfig`]
-//! from command-line flags.
+//! from command-line flags. Flags are the only way a binary sets a run
+//! knob; the engine reads no environment variable except the
+//! diagnostics-only `TM_TRACE`.
 
-use tm::{Granularity, SchedMode, SystemKind, TmConfig};
+use tm::{CmPolicy, FaultConfig, Granularity, SchedMode, SystemKind, TmConfig, WatchdogConfig};
 
 use crate::cli::Args;
 
@@ -19,7 +21,16 @@ use crate::cli::Args;
 /// * `--verify` — run under the `tm::verify` sanitizer;
 /// * `--prof` — run under the `tm::prof` cycle-accounting profiler
 ///   (both are zero-simulated-cost observers); the CLI summary then
-///   appends the cycle breakdown and hottest conflict lines.
+///   appends the cycle breakdown and hottest conflict lines;
+/// * `--cm <policy>` — contention manager (`immediate`, `linear`,
+///   `exponential`, `karma`, `adaptive`; see `tm::cm`);
+/// * `--fault <spec>` — seeded fault injection (see
+///   `tm::FaultConfig::parse` for the grammar);
+/// * `--watchdog aborts=N,cycles=C` — starvation-watchdog bounds.
+///
+/// # Panics
+///
+/// Panics on an unknown or malformed flag value.
 pub fn tm_config_from_args(args: &Args) -> TmConfig {
     let system = args
         .get("system")
@@ -50,6 +61,21 @@ pub fn tm_config_from_args(args: &Args) -> TmConfig {
     if args.get_bool("prof") {
         cfg = cfg.prof(true);
     }
+    if let Some(v) = args.get("cm") {
+        cfg = cfg.cm(CmPolicy::parse(v).unwrap_or_else(|| {
+            panic!(
+                "--cm {v:?} is not a contention-manager policy \
+                 (expected immediate|linear|exponential|karma|adaptive)"
+            )
+        }));
+    }
+    if let Some(v) = args.get("fault") {
+        cfg = cfg.fault(FaultConfig::parse(v).unwrap_or_else(|e| panic!("--fault {v:?}: {e}")));
+    }
+    if let Some(v) = args.get("watchdog") {
+        cfg = cfg
+            .watchdog(WatchdogConfig::parse(v).unwrap_or_else(|e| panic!("--watchdog {v:?}: {e}")));
+    }
     match args.get("granularity") {
         Some("line") => cfg = cfg.stm_granularity(Granularity::Line),
         Some("word") | None => {}
@@ -77,7 +103,8 @@ mod tests {
     fn full_flags() {
         let cfg = tm_config_from_args(&parse(
             "--system eager-htm --threads 8 --quantum 100 --cache-sim --granularity line \
-             --sched pct --sched-seed 99",
+             --sched pct --sched-seed 99 --cm karma --fault seed=3,intr=5 \
+             --watchdog aborts=8,cycles=0",
         ));
         assert_eq!(cfg.system, SystemKind::EagerHtm);
         assert_eq!(cfg.threads, 8);
@@ -86,6 +113,22 @@ mod tests {
         assert_eq!(cfg.stm_granularity, Granularity::Line);
         assert_eq!(cfg.sched_seed, 99);
         assert!(matches!(cfg.sched, SchedMode::Pct { .. }));
+        assert_eq!(cfg.cm, Some(CmPolicy::DEFAULT_KARMA));
+        let fault = cfg.fault.expect("--fault parsed");
+        assert_eq!((fault.seed, fault.interrupt_permille), (3, 5));
+        assert_eq!(
+            cfg.watchdog,
+            Some(WatchdogConfig {
+                max_consecutive_aborts: 8,
+                max_invested_cycles: 0,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a contention-manager policy")]
+    fn bad_cm_rejected() {
+        let _ = tm_config_from_args(&parse("--cm bogus"));
     }
 
     #[test]

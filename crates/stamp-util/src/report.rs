@@ -50,7 +50,7 @@ impl AppReport {
 }
 
 impl std::fmt::Display for AppReport {
-    /// The summary line; runs under `tm::prof` (`--prof` / `TM_PROF=1`)
+    /// The summary line; runs under `tm::prof` (`--prof`)
     /// append the profiler's cycle breakdown and hottest conflict lines.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.summary())?;

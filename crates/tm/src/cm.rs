@@ -10,10 +10,10 @@
 //! so a policy can be swapped per run without touching the versioning
 //! or conflict-detection machinery.
 //!
-//! Five policies ship (selected by [`CmPolicy`], overridable with the
-//! `TM_CM` environment variable):
+//! Five policies ship, selected per run by [`crate::TmConfig::cm`] (or
+//! `--cm <name>` on any application binary):
 //!
-//! | `TM_CM` | Policy | Origin |
+//! | name | Policy | Origin |
 //! |---|---|---|
 //! | `immediate` | [`CmPolicy::Immediate`] | the paper's HTM design point: restart at once |
 //! | `linear` | [`CmPolicy::RandomizedLinear`] | the paper's STM/hybrid policy (backoff after 3 aborts) |
@@ -22,8 +22,7 @@
 //! | `adaptive` | [`CmPolicy::AdaptiveSerialize`] | ATS-style: serialize transactions when the abort EWMA spikes |
 //!
 //! With no policy configured, [`crate::TmConfig::effective_cm`] derives
-//! the paper's default for the configured system (and honors a
-//! [`crate::config::BackoffPolicy`] override), reproducing the
+//! the paper's default for the configured system, reproducing the
 //! pre-refactor retry schedules bit-for-bit: same RNG draws, same
 //! cycle charges, same eager-HTM priority promotion after
 //! `htm_priority_after` aborts.
@@ -39,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
-use crate::config::{BackoffPolicy, SystemKind, TmConfig};
+use crate::config::{SystemKind, TmConfig};
 use crate::sim::XorShift64;
 
 /// Cap multiplier for the linearly growing backoff windows: the window
@@ -52,10 +51,9 @@ pub const LINEAR_WINDOW_CAP: u32 = 1 << 16;
 
 /// Which contention-management policy a run uses.
 ///
-/// Select with [`crate::TmConfig::cm`] or the `TM_CM` environment
-/// variable ([`CmPolicy::parse`] lists the accepted names). `None`
-/// falls back to the paper's per-system default, see
-/// [`crate::TmConfig::effective_cm`].
+/// Select with [`crate::TmConfig::cm`] ([`CmPolicy::parse`] lists the
+/// accepted names). `None` falls back to the paper's per-system
+/// default, see [`crate::TmConfig::effective_cm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmPolicy {
     /// Restart immediately on abort — the paper's HTM design point.
@@ -139,7 +137,7 @@ impl CmPolicy {
         CmPolicy::DEFAULT_ADAPTIVE,
     ];
 
-    /// Short label used in reports and accepted by `TM_CM`.
+    /// Short label used in reports and accepted by [`CmPolicy::parse`].
     pub fn label(self) -> &'static str {
         match self {
             CmPolicy::Immediate => "immediate",
@@ -150,7 +148,7 @@ impl CmPolicy {
         }
     }
 
-    /// Parse a policy name (as accepted by `TM_CM`), with default
+    /// Parse a policy name (as accepted by `--cm`), with default
     /// parameters: `immediate`, `linear`, `exponential`, `karma`,
     /// `adaptive` (aliases: `none`, `randomized-linear`, `exp`,
     /// `ats`, `serialize`).
@@ -168,26 +166,6 @@ impl CmPolicy {
             "adaptive" | "ats" | "serialize" | "adaptiveserialize" => CmPolicy::DEFAULT_ADAPTIVE,
             _ => return None,
         })
-    }
-
-    /// The policy equivalent to a legacy [`BackoffPolicy`] — used to
-    /// honor `TmConfig::backoff` overrides through the CM layer.
-    pub fn from_backoff(policy: BackoffPolicy) -> CmPolicy {
-        match policy {
-            BackoffPolicy::None => CmPolicy::Immediate,
-            BackoffPolicy::RandomizedLinear { after, base } => {
-                CmPolicy::RandomizedLinear { after, base }
-            }
-            BackoffPolicy::ExponentialRandom {
-                after,
-                base,
-                max_exp,
-            } => CmPolicy::ExponentialRandom {
-                after,
-                base,
-                max_exp,
-            },
-        }
     }
 }
 

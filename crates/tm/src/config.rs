@@ -128,33 +128,6 @@ pub enum Granularity {
     Line,
 }
 
-/// Contention-management policy applied between retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffPolicy {
-    /// Restart immediately (the paper's HTM design point).
-    None,
-    /// Randomized linear backoff once a transaction has aborted at least
-    /// `after` times (the paper's STM/hybrid policy with `after == 3`).
-    RandomizedLinear {
-        /// Number of aborts before backoff engages.
-        after: u32,
-        /// Base delay in cycles; the delay is uniform in
-        /// `0..base * (retries - after + 1)`.
-        base: u64,
-    },
-    /// Randomized exponential backoff (a contention-management policy
-    /// the paper's §V-A invites evaluating): delay uniform in
-    /// `0..base * 2^min(retries - after, max_exp)`.
-    ExponentialRandom {
-        /// Number of aborts before backoff engages.
-        after: u32,
-        /// Base delay in cycles.
-        base: u64,
-        /// Cap on the exponent.
-        max_exp: u32,
-    },
-}
-
 /// How the eager HTM resolves an encounter-time conflict when the
 /// requester does not hold the priority token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -354,9 +327,6 @@ pub struct TmConfig {
     pub system: SystemKind,
     /// Number of logical processors (threads).
     pub threads: usize,
-    /// Run under the time-ordered simulation scheduler (default). When
-    /// false, threads free-run and only wall-clock time is meaningful.
-    pub simulate: bool,
     /// Scheduler quantum in cycles: a thread may run at most this far
     /// ahead of the slowest runnable thread.
     pub quantum: u64,
@@ -374,15 +344,8 @@ pub struct TmConfig {
     /// Signature size in bits for the hybrids and the eager HTM's
     /// overflow filter (Table V: 2048).
     pub signature_bits: usize,
-    /// Backoff policy override; `None` selects the paper's policy for
-    /// the configured system. Superseded by [`TmConfig::cm`] when that
-    /// is set; kept so existing ablations can tweak just the backoff
-    /// curve of the default contention manager.
-    pub backoff: Option<BackoffPolicy>,
     /// Contention-manager override; `None` derives the paper's default
     /// policy for the configured system (see [`TmConfig::effective_cm`]).
-    /// Also settable with the `TM_CM=<policy>` environment variable
-    /// (see [`CmPolicy::parse`] for accepted names).
     pub cm: Option<CmPolicy>,
     /// Number of aborts after which an eager-HTM transaction is promoted
     /// to high priority (the paper's livelock guard: 32).
@@ -392,36 +355,30 @@ pub struct TmConfig {
     /// Seed for the per-thread backoff RNGs.
     pub seed: u64,
     /// Deterministic-scheduler dispatch mode (see [`crate::sched`]).
-    /// Also settable with `TM_SCHED=minclock|pct` (and `TM_SCHED_GAP`
-    /// for the PCT change-point gap).
     pub sched: SchedMode,
     /// Seed for the deterministic scheduler's dispatch tie-breaking and
-    /// PCT change points. Also settable with `TM_SCHED_SEED` (decimal
-    /// or `0x`-prefixed hex). Together with [`TmConfig::seed`] this
-    /// pins the entire multi-thread run: identical configurations
-    /// replay bit-identically on any host.
+    /// PCT change points. Together with [`TmConfig::seed`] this pins
+    /// the entire multi-thread run: identical configurations replay
+    /// bit-identically on any host.
     pub sched_seed: u64,
-    /// Run under the [`crate::verify`] serializability sanitizer. Also
-    /// enabled by `TM_VERIFY=1` in the environment. The sanitizer
-    /// charges zero simulated cycles, so `sim_cycles` outputs are
-    /// bit-identical either way; only wall-clock time changes.
+    /// Run under the [`crate::verify`] serializability sanitizer. The
+    /// sanitizer charges zero simulated cycles, so `sim_cycles` outputs
+    /// are bit-identical either way; only wall-clock time changes.
     pub verify: bool,
-    /// Run under the [`crate::prof`] cycle-accounting profiler. Also
-    /// enabled by `TM_PROF=1` in the environment. Like the sanitizer,
-    /// the profiler charges zero simulated cycles — `sim_cycles` and
-    /// all engine statistics are bit-identical either way.
+    /// Run under the [`crate::prof`] cycle-accounting profiler. Like
+    /// the sanitizer, the profiler charges zero simulated cycles —
+    /// `sim_cycles` and all engine statistics are bit-identical either
+    /// way.
     pub prof: bool,
     /// Deterministic spurious-event injection ([`crate::fault`]):
     /// capacity-pressure aborts, interrupt hazards, signature false
     /// positives, and delayed commits, drawn from per-attempt SplitMix
-    /// streams. Also settable with `TM_FAULT=<spec>` (see
-    /// [`FaultConfig::parse`] for the grammar). `None`, or a config
-    /// whose seed is 0 or whose rates are all zero, disables the
-    /// layer at zero simulated and host cost.
+    /// streams (see [`FaultConfig::parse`] for the spec grammar).
+    /// `None`, or a config whose seed is 0 or whose rates are all
+    /// zero, disables the layer at zero simulated and host cost.
     pub fault: Option<FaultConfig>,
     /// Starvation-watchdog bounds for the irrevocable-mode escalation
-    /// ([`crate::fault::WatchdogConfig`]). Also settable with
-    /// `TM_WATCHDOG=aborts=N,cycles=C`. When `None`, the watchdog
+    /// ([`crate::fault::WatchdogConfig`]). When `None`, the watchdog
     /// arms with default bounds whenever fault injection is enabled
     /// and stays off otherwise — see [`TmConfig::effective_watchdog`].
     pub watchdog: Option<WatchdogConfig>,
@@ -448,17 +405,11 @@ pub enum MutationHook {
     CorruptSignatureHash,
 }
 
-/// Parse a seed value in decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-}
-
 impl TmConfig {
     /// A configuration for `system` with `threads` logical processors and
-    /// the paper's defaults for everything else.
+    /// the paper's defaults for everything else. Pure: every knob is set
+    /// here or through the chainable setters, never from the
+    /// environment.
     pub fn new(system: SystemKind, threads: usize) -> Self {
         assert!(threads >= 1, "at least one thread required");
         assert!(
@@ -468,7 +419,6 @@ impl TmConfig {
         TmConfig {
             system,
             threads,
-            simulate: true,
             quantum: 500,
             cost: CostModel::table_v(),
             lock_table_bits: 20,
@@ -476,43 +426,16 @@ impl TmConfig {
             l1: CacheGeometry::table_v_l1(),
             cache_sim: false,
             signature_bits: 2048,
-            backoff: None,
-            cm: match std::env::var("TM_CM") {
-                Ok(v) if !v.is_empty() => Some(CmPolicy::parse(&v).unwrap_or_else(|| {
-                    panic!(
-                        "TM_CM={v:?} is not a contention-manager policy \
-                         (expected immediate|linear|exponential|karma|adaptive)"
-                    )
-                })),
-                _ => None,
-            },
+            cm: None,
             htm_priority_after: 32,
             htm_conflict: HtmConflictPolicy::default(),
             seed: 0x5eed_cafe,
-            sched: SchedMode::from_env(),
-            sched_seed: match std::env::var("TM_SCHED_SEED") {
-                Ok(v) if !v.is_empty() => parse_seed(&v)
-                    .unwrap_or_else(|| panic!("TM_SCHED_SEED={v:?} is not an unsigned integer")),
-                _ => DEFAULT_SCHED_SEED,
-            },
-            verify: std::env::var("TM_VERIFY")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
-            prof: std::env::var("TM_PROF")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
-            fault: match std::env::var("TM_FAULT") {
-                Ok(v) if !v.is_empty() => {
-                    Some(FaultConfig::parse(&v).unwrap_or_else(|e| panic!("TM_FAULT={v:?}: {e}")))
-                }
-                _ => None,
-            },
-            watchdog: match std::env::var("TM_WATCHDOG") {
-                Ok(v) if !v.is_empty() => Some(
-                    WatchdogConfig::parse(&v).unwrap_or_else(|e| panic!("TM_WATCHDOG={v:?}: {e}")),
-                ),
-                _ => None,
-            },
+            sched: SchedMode::MinClock,
+            sched_seed: DEFAULT_SCHED_SEED,
+            verify: false,
+            prof: false,
+            fault: None,
+            watchdog: None,
             mutation: MutationHook::None,
         }
     }
@@ -535,22 +458,15 @@ impl TmConfig {
     }
 
     /// Set the deterministic-scheduler seed (dispatch tie-breaking and
-    /// PCT change points; takes precedence over `TM_SCHED_SEED`).
+    /// PCT change points).
     pub fn sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = seed;
         self
     }
 
-    /// Set the deterministic-scheduler dispatch mode (takes precedence
-    /// over `TM_SCHED`).
+    /// Set the deterministic-scheduler dispatch mode.
     pub fn sched(mut self, mode: SchedMode) -> Self {
         self.sched = mode;
-        self
-    }
-
-    /// Enable or disable the time-ordered scheduler.
-    pub fn simulate(mut self, on: bool) -> Self {
-        self.simulate = on;
         self
     }
 
@@ -566,14 +482,7 @@ impl TmConfig {
         self
     }
 
-    /// Override the backoff policy.
-    pub fn backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = Some(policy);
-        self
-    }
-
-    /// Override the contention-manager policy (takes precedence over
-    /// [`TmConfig::backoff`] and the `TM_CM` environment variable).
+    /// Override the contention-manager policy.
     pub fn cm(mut self, policy: CmPolicy) -> Self {
         self.cm = Some(policy);
         self
@@ -606,15 +515,14 @@ impl TmConfig {
         self
     }
 
-    /// Enable deterministic spurious-event injection (takes precedence
-    /// over the `TM_FAULT` environment variable).
+    /// Enable deterministic spurious-event injection.
     pub fn fault(mut self, cfg: FaultConfig) -> Self {
         self.fault = Some(cfg);
         self
     }
 
     /// Set explicit starvation-watchdog bounds (takes precedence over
-    /// `TM_WATCHDOG` and the fault-layer default).
+    /// the fault-layer default).
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
         self.watchdog = Some(cfg);
         self
@@ -643,37 +551,22 @@ impl TmConfig {
             .or_else(|| self.effective_fault().map(|_| WatchdogConfig::default()))
     }
 
-    /// The effective backoff policy: the override if set, otherwise the
-    /// paper's policy for the configured system.
-    pub fn effective_backoff(&self) -> BackoffPolicy {
-        if let Some(p) = self.backoff {
-            return p;
-        }
-        match self.system {
+    /// The effective contention-manager policy: the [`TmConfig::cm`]
+    /// override if set, otherwise the paper's per-system default —
+    /// immediate restart for the HTMs (and the sequential and
+    /// global-lock baselines), randomized linear backoff after 3 aborts
+    /// for the STMs and hybrids.
+    pub fn effective_cm(&self) -> CmPolicy {
+        self.cm.unwrap_or(match self.system {
             SystemKind::Sequential
             | SystemKind::GlobalLock
             | SystemKind::LazyHtm
-            | SystemKind::EagerHtm => BackoffPolicy::None,
+            | SystemKind::EagerHtm => CmPolicy::Immediate,
             SystemKind::LazyStm
             | SystemKind::EagerStm
             | SystemKind::LazyHybrid
-            | SystemKind::EagerHybrid => BackoffPolicy::RandomizedLinear {
-                after: 3,
-                base: 200,
-            },
-        }
-    }
-
-    /// The effective contention-manager policy: the [`TmConfig::cm`]
-    /// override if set (builder or `TM_CM` env), otherwise the policy
-    /// equivalent to [`TmConfig::effective_backoff`] — which reproduces
-    /// the paper's per-system retry schedule bit-for-bit and still
-    /// honors legacy [`TmConfig::backoff`] overrides.
-    pub fn effective_cm(&self) -> CmPolicy {
-        if let Some(p) = self.cm {
-            return p;
-        }
-        CmPolicy::from_backoff(self.effective_backoff())
+            | SystemKind::EagerHybrid => CmPolicy::DEFAULT_LINEAR,
+        })
     }
 }
 
@@ -717,32 +610,19 @@ mod tests {
     }
 
     #[test]
-    fn default_backoff_matches_paper() {
-        assert_eq!(
-            TmConfig::new(SystemKind::LazyHtm, 2).effective_backoff(),
-            BackoffPolicy::None
-        );
-        assert!(matches!(
-            TmConfig::new(SystemKind::LazyStm, 2).effective_backoff(),
-            BackoffPolicy::RandomizedLinear { after: 3, .. }
-        ));
-    }
-
-    #[test]
-    fn default_cm_mirrors_backoff() {
-        assert_eq!(
-            TmConfig::new(SystemKind::EagerHtm, 2).effective_cm(),
-            CmPolicy::Immediate
-        );
-        assert_eq!(
-            TmConfig::new(SystemKind::LazyStm, 2).effective_cm(),
-            CmPolicy::DEFAULT_LINEAR
-        );
-        // A legacy backoff override still flows through the CM layer...
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2).backoff(BackoffPolicy::None);
-        assert_eq!(cfg.effective_cm(), CmPolicy::Immediate);
-        // ...but an explicit CM choice wins.
-        let cfg = cfg.cm(CmPolicy::DEFAULT_KARMA);
+    fn default_cm_matches_paper() {
+        for sys in [SystemKind::LazyHtm, SystemKind::EagerHtm] {
+            assert_eq!(TmConfig::new(sys, 2).effective_cm(), CmPolicy::Immediate);
+        }
+        assert_eq!(TmConfig::sequential().effective_cm(), CmPolicy::Immediate);
+        for sys in [SystemKind::LazyStm, SystemKind::EagerHybrid] {
+            assert_eq!(
+                TmConfig::new(sys, 2).effective_cm(),
+                CmPolicy::DEFAULT_LINEAR
+            );
+        }
+        // An explicit CM choice wins.
+        let cfg = TmConfig::new(SystemKind::LazyStm, 2).cm(CmPolicy::DEFAULT_KARMA);
         assert_eq!(cfg.effective_cm(), CmPolicy::DEFAULT_KARMA);
     }
 

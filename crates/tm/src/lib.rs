@@ -18,7 +18,7 @@
 //!   2048-bit hardware-signature conflict detection and strong isolation.
 //!
 //! Because the paper's numbers come from an execution-driven simulator
-//! (Table V), the engine includes a *time-ordered simulation mode*: the
+//! (Table V), the engine always runs as a *time-ordered simulation*: the
 //! logical threads of a run are real OS threads whose interleaving is
 //! constrained to simulated-time order, and every barrier, memory access,
 //! and unit of application work advances a per-thread cycle clock using
@@ -71,8 +71,7 @@ pub mod verify;
 pub use addr::{LineAddr, WordAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use cm::{AbortAction, CmCtx, CmPolicy, CmShared, ContentionManager};
 pub use config::{
-    BackoffPolicy, CacheGeometry, CostModel, Granularity, HtmConflictPolicy, MutationHook,
-    SystemKind, TmConfig,
+    CacheGeometry, CostModel, Granularity, HtmConflictPolicy, MutationHook, SystemKind, TmConfig,
 };
 pub use fault::{FaultConfig, FaultKind, SplitMix64, WatchdogConfig};
 pub use heap::{TArray, TCell, TmHeap, TmValue};

@@ -101,13 +101,7 @@ impl Global {
             txn_ts: (0..n)
                 .map(|_| CachePadded::new(std::sync::atomic::AtomicU64::new(u64::MAX)))
                 .collect(),
-            scheduler: Scheduler::new(
-                n,
-                config.quantum,
-                config.simulate,
-                config.sched,
-                config.sched_seed,
-            ),
+            scheduler: Scheduler::new(n, config.quantum, config.sched, config.sched_seed),
             cm_shared: CmShared::new(n),
             verify: config.verify.then(VerifyState::default),
             prof: config.prof.then(ProfShared::default),
@@ -136,10 +130,10 @@ pub struct RunReport {
     /// starved thread from an idle one.
     pub thread_commits: Vec<u64>,
     /// Sanitizer report, present when the run had `TmConfig::verify`
-    /// (or `TM_VERIFY=1`) enabled.
+    /// enabled.
     pub verify: Option<VerifyReport>,
     /// Profiler report, present when the run had `TmConfig::prof`
-    /// (or `TM_PROF=1`) enabled.
+    /// enabled.
     pub prof: Option<ProfReport>,
 }
 

@@ -11,11 +11,11 @@
 //! (app, variant, system, threads, seed) inputs therefore produce
 //! bit-identical runs on any host.
 //!
-//! Two dispatch modes ([`SchedMode`], `TM_SCHED`):
+//! Two dispatch modes ([`SchedMode`], [`crate::TmConfig::sched`]):
 //!
 //! * [`SchedMode::MinClock`] (default) — the turn goes to the runnable
 //!   thread with the minimum published clock; ties break by a seeded
-//!   permutation (`TM_SCHED_SEED` / `TmConfig::sched_seed`). The holder
+//!   permutation ([`crate::TmConfig::sched_seed`]). The holder
 //!   retains the turn while within one quantum of the slowest runnable
 //!   thread, so clock skew obeys exactly the bound the seed scheduler
 //!   enforced and the Table V cost model is undisturbed.
@@ -77,28 +77,6 @@ impl SchedMode {
         })
     }
 
-    /// The mode selected by `TM_SCHED` (with `TM_SCHED_GAP` setting the
-    /// PCT change-point gap), defaulting to [`SchedMode::MinClock`].
-    pub fn from_env() -> SchedMode {
-        let mode = match std::env::var("TM_SCHED") {
-            Ok(v) if !v.is_empty() => SchedMode::parse(&v).unwrap_or_else(|| {
-                panic!("TM_SCHED={v:?} is not a scheduling mode (expected minclock|pct)")
-            }),
-            _ => SchedMode::MinClock,
-        };
-        match mode {
-            SchedMode::Pct { .. } => {
-                let gap = std::env::var("TM_SCHED_GAP")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|g| *g > 0)
-                    .unwrap_or(DEFAULT_PCT_GAP);
-                SchedMode::Pct { avg_gap: gap }
-            }
-            m => m,
-        }
-    }
-
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -149,7 +127,6 @@ struct SchedState {
 /// runs at a time, chosen by [`SchedMode`] over published clocks with
 /// seeded tie-breaking. See the module docs for the dispatch rules.
 pub struct Scheduler {
-    enabled: bool,
     quantum: u64,
     mode: SchedMode,
     /// Seeded tie-break rank per thread (lower rank runs first on clock
@@ -162,7 +139,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Create a scheduler for `threads` logical processors dispatched by
     /// `mode` with deterministic tie-breaking derived from `seed`.
-    pub fn new(threads: usize, quantum: u64, enabled: bool, mode: SchedMode, seed: u64) -> Self {
+    pub fn new(threads: usize, quantum: u64, mode: SchedMode, seed: u64) -> Self {
         let mut rng = XorShift64::new(seed);
         let mut order: Vec<usize> = (0..threads).collect();
         for i in (1..threads).rev() {
@@ -182,7 +159,6 @@ impl Scheduler {
             SchedMode::MinClock => u64::MAX,
         };
         Scheduler {
-            enabled,
             quantum,
             mode,
             rank,
@@ -198,11 +174,6 @@ impl Scheduler {
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// Whether time-ordered scheduling is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Compute (and record) the turn holder. Pure in the scheduler
@@ -273,9 +244,6 @@ impl Scheduler {
     /// pass before its first shared-state access, and again after every
     /// barrier release.
     pub fn wait_turn(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let s = self.state.lock();
         self.wait_turn_locked(tid, s);
     }
@@ -285,9 +253,6 @@ impl Scheduler {
     ///
     /// Must not be called while holding any other lock.
     pub fn advance(&self, tid: usize, cycles: u64) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         debug_assert_eq!(s.status[tid], ThreadStatus::Running);
         s.clocks[tid] += cycles;
@@ -309,28 +274,11 @@ impl Scheduler {
     /// Mark `tid` as parked (e.g. at a phase barrier): it no longer
     /// participates in dispatch and the turn moves on.
     pub fn park(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         s.status[tid] = ThreadStatus::Parked;
         if s.current == Some(tid) {
             s.current = None;
         }
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Resume `tid` with its clock raised to `clock`. Does not wait for
-    /// the turn — follow with [`Scheduler::wait_turn`] before touching
-    /// shared state.
-    pub fn unpark(&self, tid: usize, clock: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut s = self.state.lock();
-        s.status[tid] = ThreadStatus::Running;
-        s.clocks[tid] = s.clocks[tid].max(clock);
         drop(s);
         self.cv.notify_all();
     }
@@ -342,9 +290,6 @@ impl Scheduler {
     /// on the host order in which the woken threads happen to reach the
     /// scheduler again.
     pub fn unpark_all(&self, clock: u64) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         for t in 0..s.status.len() {
             if s.status[t] == ThreadStatus::Parked {
@@ -359,9 +304,6 @@ impl Scheduler {
 
     /// Mark `tid` as finished.
     pub fn done(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         s.status[tid] = ThreadStatus::Done;
         if s.current == Some(tid) {
@@ -385,7 +327,6 @@ impl Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("enabled", &self.enabled)
             .field("quantum", &self.quantum)
             .field("mode", &self.mode)
             .finish()
@@ -399,7 +340,7 @@ mod tests {
     use std::sync::Arc;
 
     fn sched(threads: usize, quantum: u64) -> Scheduler {
-        Scheduler::new(threads, quantum, true, SchedMode::MinClock, 42)
+        Scheduler::new(threads, quantum, SchedMode::MinClock, 42)
     }
 
     #[test]
@@ -466,7 +407,7 @@ mod tests {
         // small sweep must produce a different one (2 threads would make
         // this flaky, 8 give 40320 permutations).
         let order_of = |seed: u64| {
-            let s = Scheduler::new(8, 100, true, SchedMode::MinClock, seed);
+            let s = Scheduler::new(8, 100, SchedMode::MinClock, seed);
             s.rank.clone()
         };
         assert_eq!(order_of(7), order_of(7));
@@ -481,13 +422,7 @@ mod tests {
         // Record the order in which threads win the turn under PCT with
         // two different seeds; the traces must be deterministic per seed.
         let trace_of = |seed: u64| {
-            let sched = Arc::new(Scheduler::new(
-                2,
-                100,
-                true,
-                SchedMode::Pct { avg_gap: 3 },
-                seed,
-            ));
+            let sched = Arc::new(Scheduler::new(2, 100, SchedMode::Pct { avg_gap: 3 }, seed));
             let trace = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let mut handles = Vec::new();
             for tid in 0..2 {
@@ -509,13 +444,6 @@ mod tests {
         };
         assert_eq!(trace_of(1), trace_of(1));
         assert_eq!(trace_of(9), trace_of(9));
-    }
-
-    #[test]
-    fn scheduler_disabled_is_noop() {
-        let sched = Scheduler::new(2, 100, false, SchedMode::MinClock, 0);
-        sched.advance(0, 1_000_000);
-        assert_eq!(sched.clock(0), 0); // disabled: nothing recorded
     }
 
     #[test]

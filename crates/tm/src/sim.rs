@@ -25,8 +25,8 @@ pub(crate) const FLUSH_CYCLES: u64 = 64;
 /// A mutex that spins in *simulated* time.
 ///
 /// Holders are expected to release quickly (commit sections); waiters call
-/// [`SimMutex::acquire`] with a closure that charges simulated cycles per
-/// failed attempt, which lets the scheduler run the holder.
+/// [`SimMutex::acquire_until`] with a closure that charges simulated
+/// cycles per failed attempt, which lets the scheduler run the holder.
 pub struct SimMutex {
     locked: std::sync::atomic::AtomicBool,
 }
@@ -49,21 +49,6 @@ impl SimMutex {
     #[inline]
     pub fn try_acquire(&self) -> bool {
         !self.locked.swap(true, std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Acquire, calling `spin_tick` once per failed attempt (the closure
-    /// should advance simulated time and may yield the host CPU).
-    pub fn acquire(&self, mut spin_tick: impl FnMut()) {
-        let mut spins = 0u32;
-        while !self.try_acquire() {
-            spin_tick();
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
     }
 
     /// Acquire, calling `spin_tick` once per failed attempt; the closure
@@ -184,11 +169,6 @@ impl SimBarrier {
             (s.release_clock, false)
         }
     }
-
-    /// Number of participating threads.
-    pub fn parties(&self) -> usize {
-        self.n
-    }
 }
 
 impl std::fmt::Debug for SimBarrier {
@@ -247,7 +227,7 @@ mod tests {
             let c = counter.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    m.acquire(|| {});
+                    m.acquire_until(|| true);
                     let v = c.load(Ordering::Relaxed);
                     std::hint::spin_loop();
                     c.store(v + 1, Ordering::Relaxed);

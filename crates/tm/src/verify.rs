@@ -1,13 +1,13 @@
 //! `tm::verify` — an opt-in serializability sanitizer for the TM engine.
 //!
-//! When enabled (`TmConfig::verify(true)` or `TM_VERIFY=1`), every
-//! transactional heap access is routed through a global verify mutex
-//! that pairs the access with an exact *(value, version)* observation
-//! against a shadow copy of the heap. Each committed install gets a
-//! globally unique sequence number (unique even under eager undo,
-//! because rollback restores the *previous shadow entry*, never
-//! re-issues a number). From the per-transaction observation logs the
-//! finalize pass builds the direct serialization graph:
+//! When enabled (`TmConfig::verify(true)`, or `--verify` on an app
+//! binary), every transactional heap access is routed through a global
+//! verify mutex that pairs the access with an exact *(value, version)*
+//! observation against a shadow copy of the heap. Each committed
+//! install gets a globally unique sequence number (unique even under
+//! eager undo, because rollback restores the *previous shadow entry*,
+//! never re-issues a number). From the per-transaction observation logs
+//! the finalize pass builds the direct serialization graph:
 //!
 //! * **WR** edges: the committed writer of an observed version precedes
 //!   its reader,

@@ -148,10 +148,10 @@ fn global_lock_baseline() {
 /// policy (correctness + it actually delays).
 #[test]
 fn exponential_backoff_policy() {
-    use tm::BackoffPolicy;
+    use tm::CmPolicy;
     let rt = TmRuntime::new(
         TmConfig::new(SystemKind::EagerStm, 6)
-            .backoff(BackoffPolicy::ExponentialRandom {
+            .cm(CmPolicy::ExponentialRandom {
                 after: 1,
                 base: 100,
                 max_exp: 8,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tm::addr::{LineAddr, WordAddr};
 use tm::cm::{make_cm, CmCtx, CmPolicy, CmShared};
-use tm::config::{BackoffPolicy, Granularity};
+use tm::config::Granularity;
 use tm::locks::{GlobalClock, LockTable, LockWord};
 use tm::signature::{table_v_hashes, Signature};
 use tm::verify::find_cycle;
@@ -223,8 +223,7 @@ proptest! {
         }
     }
 
-    /// `Immediate` replays the pre-refactor `BackoffPolicy::None`
-    /// schedule on any abort trace: zero backoff everywhere and no RNG
+    /// `Immediate` replays the pre-refactor no-backoff schedule on any abort trace: zero backoff everywhere and no RNG
     /// draws (the stream that seeds every downstream randomized
     /// decision stays bit-identical).
     #[test]
@@ -274,9 +273,8 @@ proptest! {
                 }
             })
             .collect();
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2)
-            .backoff(BackoffPolicy::RandomizedLinear { after, base });
-        let mut cm = make_cm(cfg.effective_cm(), &cfg);
+        let cfg = TmConfig::new(SystemKind::LazyStm, 2);
+        let mut cm = make_cm(CmPolicy::RandomizedLinear { after, base }, &cfg);
         let shared = CmShared::new(2);
         let mut new_rng = XorShift64::new(seed);
         let new: Vec<u64> = trace
@@ -297,8 +295,8 @@ proptest! {
         prop_assert_eq!(old_rng.next_u64(), new_rng.next_u64());
     }
 
-    /// Same replay equivalence for `ExponentialRandom` (the remaining
-    /// legacy `BackoffPolicy`).
+    /// Same replay equivalence for `ExponentialRandom` against the
+    /// pre-refactor exponential formula.
     #[test]
     fn cm_exponential_replays_pre_refactor_schedule(
         seed in 1u64..u64::MAX,
@@ -320,10 +318,8 @@ proptest! {
                 }
             })
             .collect();
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2).backoff(
-            BackoffPolicy::ExponentialRandom { after, base, max_exp },
-        );
-        let mut cm = make_cm(cfg.effective_cm(), &cfg);
+        let cfg = TmConfig::new(SystemKind::LazyStm, 2);
+        let mut cm = make_cm(CmPolicy::ExponentialRandom { after, base, max_exp }, &cfg);
         let shared = CmShared::new(2);
         let mut new_rng = XorShift64::new(seed);
         let new: Vec<u64> = trace

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example contention_lab`
 
 use stamp::intruder;
-use stamp::tm::{BackoffPolicy, HtmConflictPolicy, SystemKind, TmConfig};
+use stamp::tm::{CmPolicy, HtmConflictPolicy, SystemKind, TmConfig};
 use stamp::util::IntruderParams;
 
 fn main() {
@@ -53,14 +53,11 @@ fn main() {
     );
     run(
         "eager HTM + randomized linear backoff",
-        TmConfig::new(SystemKind::EagerHtm, THREADS).backoff(BackoffPolicy::RandomizedLinear {
-            after: 3,
-            base: 200,
-        }),
+        TmConfig::new(SystemKind::EagerHtm, THREADS).cm(CmPolicy::DEFAULT_LINEAR),
     );
     run(
         "eager HTM + exponential backoff",
-        TmConfig::new(SystemKind::EagerHtm, THREADS).backoff(BackoffPolicy::ExponentialRandom {
+        TmConfig::new(SystemKind::EagerHtm, THREADS).cm(CmPolicy::ExponentialRandom {
             after: 2,
             base: 100,
             max_exp: 10,

@@ -20,7 +20,7 @@ echo "==> ablation_cm --smoke"
 cargo run -q --release -p bench --bin ablation_cm -- --smoke
 
 echo "==> schedfuzz --smoke"
-TM_VERIFY=1 cargo run -q --release -p bench --bin schedfuzz -- --smoke
+cargo run -q --release -p bench --bin schedfuzz -- --smoke
 
 echo "==> chaos --smoke"
 cargo run -q --release -p bench --bin chaos -- --smoke

@@ -24,7 +24,6 @@ run figure1.txt                --bin figure1 -- --scale "$SCALE"
 run table3.txt                 --bin table3 -- --scale 4
 run working_sets.txt           --bin table6 -- --scale 4 --working-sets \
                                --variants kmeans-high,ssca2,vacation-low,genome,bayes
-run ablation_backoff.txt       --bin ablation_backoff -- --scale 2
 run ablation_granularity.txt   --bin ablation_granularity -- --scale 2
 run ablation_earlyrelease.txt  --bin ablation_earlyrelease
 run ablation_sigsize.txt       --bin ablation_sigsize -- --scale 4
@@ -32,6 +31,14 @@ run ablation_stall.txt         --bin ablation_stall -- --scale 2
 run ablation_bayes_backend.txt --bin ablation_bayes_backend
 run ablation_cm.txt            --bin ablation_cm -- --scale 2 \
                                --json results/BENCH_ablation_cm.json
+
+# Backoff vs immediate restart on intruder (§V-B3): the `immediate` and
+# `linear` rows of ablation_cm, pinned to each of the six systems in turn.
+echo ">>> ablation_cm --variants intruder (x6 systems) -> results/ablation_backoff.txt"
+{ time for sys in "Eager HTM" "Lazy HTM" "Eager Hybrid" "Lazy Hybrid" "Eager STM" "Lazy STM"; do
+    cargo run --release -p bench --bin ablation_cm -- \
+        --variants intruder --threadlist 8 --scale 2 --system "$sys"
+done ; } > results/ablation_backoff.txt 2>&1
 
 # Fault-injection robustness sweep: writes its own results/chaos.txt
 # (degradation curve) and the per-run rows; scale pinned to its default
