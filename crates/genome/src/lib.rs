@@ -238,7 +238,6 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
     // One prefix table per overlap level, created fresh each level by
     // thread 0 (stored as raw handles).
     let level_table: TCell<u64> = heap.alloc_cell(0u64);
-    let barrier = rt.new_barrier();
 
     let report = rt.run(|ctx| {
         let tid = ctx.tid() as u64;
@@ -257,7 +256,7 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
                 dedup.insert(txn, key128(code), i).map(|_| ())
             });
         }
-        ctx.barrier(&barrier);
+        ctx.barrier();
         if tid == 0 {
             // Compact the unique set (sorted for determinism).
             let reps: Vec<u64> = {
@@ -285,7 +284,7 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
             }
             ctx.store(&unique_count, uniq.len() as u64);
         }
-        ctx.barrier(&barrier);
+        ctx.barrier();
         let n_unique = ctx.load(&unique_count);
         // ---- Phase 2: overlap matching ----
         for l in (1..s).rev() {
@@ -295,7 +294,7 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
                 let table = TmHashtable::create(&mut m, n_unique.max(16)).expect("setup");
                 ctx.store(&level_table, encode_table(&table));
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
             let table = decode_table(ctx.load(&level_table), n_unique.max(16));
             let per = n_unique.div_ceil(threads);
             let lo = (tid * per).min(n_unique);
@@ -312,7 +311,7 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
                     Ok(())
                 });
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
             // Probe unmatched ends and claim links.
             for i in lo..hi {
                 let code = (ctx.load(&unique_lo.cell(i)) as u128)
@@ -342,7 +341,7 @@ pub fn assemble_tm(input: &Input, cfg: TmConfig) -> (Assembly, tm::RunReport) {
                     Ok(())
                 });
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
         }
     });
 

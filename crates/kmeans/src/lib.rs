@@ -175,7 +175,6 @@ pub fn cluster_tm(
     for i in 0..(k as u64 * d) {
         heap.store_elem(&shared.centers, i, input.points[i as usize]);
     }
-    let barrier = rt.new_barrier();
     let iters_cell = heap.alloc_cell(0u32);
 
     let report = rt.run(|ctx| {
@@ -234,7 +233,7 @@ pub fn cluster_tm(
                     txn.write(&shared.delta, dv + local_delta)
                 });
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
             // Thread 0 folds the accumulators into new centers.
             if tid == 0 {
                 for c in 0..k {
@@ -249,16 +248,16 @@ pub fn cluster_tm(
                     ctx.store(&shared.counts.cell(c), 0);
                 }
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
             iterations += 1;
             let delta = ctx.load(&shared.delta);
             let done = (delta as f64 / shared.n as f64) < threshold || iterations >= MAX_ITERATIONS;
-            ctx.barrier(&barrier);
+            ctx.barrier();
             if tid == 0 {
                 ctx.store(&shared.delta, 0);
                 ctx.store(&iters_cell, iterations);
             }
-            ctx.barrier(&barrier);
+            ctx.barrier();
             if done {
                 break;
             }

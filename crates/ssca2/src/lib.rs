@@ -179,7 +179,6 @@ pub fn compute_graph_tm(input: &EdgeList, cfg: TmConfig) -> (Graph, tm::RunRepor
     let fill: TArray<u64> = heap.alloc_array(n, 0u64);
     let adjacency: TArray<u32> = heap.alloc_array(m.max(1), 0u32);
     let weights_out: TArray<u32> = heap.alloc_array(m.max(1), 0u32);
-    let barrier = rt.new_barrier();
 
     let report = rt.run(|ctx| {
         let tid = ctx.tid() as u64;
@@ -198,7 +197,7 @@ pub fn compute_graph_tm(input: &EdgeList, cfg: TmConfig) -> (Graph, tm::RunRepor
                 txn.write_idx(&degrees, src, d + 1)
             });
         }
-        ctx.barrier(&barrier);
+        ctx.barrier();
         // Thread 0: prefix sum (cheap sequential scan).
         if tid == 0 {
             let mut acc = 0u64;
@@ -208,7 +207,7 @@ pub fn compute_graph_tm(input: &EdgeList, cfg: TmConfig) -> (Graph, tm::RunRepor
             }
             ctx.store(&offsets.cell(n), acc);
         }
-        ctx.barrier(&barrier);
+        ctx.barrier();
         // Phase B: transactional adjacency insertion.
         for e in lo..hi {
             let src = ctx.load(&src_arr.cell(e)) as u64;

@@ -62,14 +62,6 @@ impl std::fmt::Display for WordAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
 
-impl LineAddr {
-    /// First word of this line.
-    #[inline]
-    pub fn first_word(self) -> WordAddr {
-        WordAddr(self.0 * WORDS_PER_LINE)
-    }
-}
-
 impl std::fmt::Display for LineAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "l{:#x}", self.0)

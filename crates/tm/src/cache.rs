@@ -77,12 +77,6 @@ impl CacheModel {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Reset statistics (tags are kept: warm cache).
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 //!
 //! All waiting a contention manager induces is charged in *simulated*
 //! cycles (backoff via `charge_bucket` so [`crate::prof`] books it to
-//! its Backoff bucket, serialization via
-//! [`crate::sim::SimMutex::acquire_until`] with a costed spin tick) —
+//! its Backoff bucket, serialization by spinning on the commit token's
+//! [`crate::sim::SimMutex::try_acquire`] with a costed probe) —
 //! never host wall-clock sleeps — so `sim_cycles` remain meaningful
 //! and deterministic.
 

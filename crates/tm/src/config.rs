@@ -92,22 +92,6 @@ impl SystemKind {
     pub fn implicit_barriers(self) -> bool {
         matches!(self, SystemKind::LazyHtm | SystemKind::EagerHtm)
     }
-
-    /// Whether versioning is eager (undo log, in-place writes).
-    pub fn eager_versioning(self) -> bool {
-        matches!(
-            self,
-            SystemKind::EagerHtm | SystemKind::EagerStm | SystemKind::EagerHybrid
-        )
-    }
-
-    /// Whether the system supports early release (§III-B5). The STMs do
-    /// not need it (the apps simply skip read barriers on privatized
-    /// copies); the HTMs require it; the hybrids support it through
-    /// signatures only approximately, so the apps treat them like STMs.
-    pub fn needs_early_release(self) -> bool {
-        self.implicit_barriers()
-    }
 }
 
 impl std::fmt::Display for SystemKind {

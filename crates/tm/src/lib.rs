@@ -20,11 +20,12 @@
 //! Because the paper's numbers come from an execution-driven simulator
 //! (Table V), the engine always runs as a *time-ordered simulation*: the
 //! logical threads of a run are real OS threads whose interleaving is
-//! constrained to simulated-time order, and every barrier, memory access,
-//! and unit of application work advances a per-thread cycle clock using
-//! the Table V cost model. Reported times are simulated cycles, so
-//! speedup curves over 1–16 logical processors are meaningful on any
-//! host.
+//! constrained to simulated-time order by the turn scheduler
+//! ([`sched`], the one place a thread blocks), and every barrier, memory
+//! access, and unit of application work advances a per-thread cycle
+//! clock using the Table V cost model. Reported times are simulated
+//! cycles, so speedup curves over 1–16 logical processors are
+//! meaningful on any host.
 //!
 //! ## Quick example
 //!
@@ -78,7 +79,7 @@ pub use heap::{TArray, TCell, TmHeap, TmValue};
 pub use prof::{ConflictPair, HotLine, ProfBucket, ProfReport, ProfThreadReport, PROF_BUCKETS};
 pub use runtime::{RunReport, ThreadCtx, TmRuntime};
 pub use sched::{SchedMode, Scheduler, DEFAULT_PCT_GAP, DEFAULT_SCHED_SEED};
-pub use sim::{SimBarrier, XorShift64};
+pub use sim::XorShift64;
 pub use stats::{RunStats, TxnRecord, VerifyCost};
 pub use trace::TraceLevel;
 pub use txn::{Abort, TxResult, Txn};

@@ -22,7 +22,7 @@ use crate::locks::{GlobalClock, LockTable};
 use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadReport};
 use crate::sched::Scheduler;
 use crate::signature::Signature;
-use crate::sim::{SimBarrier, SimMutex, XorShift64, FLUSH_CYCLES};
+use crate::sim::{SimMutex, XorShift64, FLUSH_CYCLES};
 use crate::stats::{RunStats, ThreadStats};
 use crate::txn::TxnState;
 use crate::verify::{self, VerifyReport, VerifyState, VerifyTxn};
@@ -174,11 +174,6 @@ impl TmRuntime {
     /// The transactional heap (for setup/verification phases).
     pub fn heap(&self) -> &Arc<TmHeap> {
         &self.heap
-    }
-
-    /// A phase barrier sized for this runtime's thread count.
-    pub fn new_barrier(&self) -> Arc<SimBarrier> {
-        Arc::new(SimBarrier::new(self.config.threads))
     }
 
     /// Run one parallel phase: `body(ctx)` executes once on each of the
@@ -441,6 +436,15 @@ impl ThreadCtx {
             }
         }
         self.advance(cycles);
+    }
+
+    /// [`ThreadCtx::charge_tm`] the system's fixed begin/commit cost
+    /// ([`crate::CostModel::txn_fixed_for`]).
+    #[inline]
+    pub(crate) fn charge_txn_fixed(&mut self) {
+        let config = &self.global.config;
+        let fixed = config.cost.txn_fixed_for(config.system);
+        self.charge_tm(fixed);
     }
 
     /// Charge `cycles` directly to a specific profiler bucket (abort
@@ -739,30 +743,19 @@ impl ThreadCtx {
         self.rng.below(bound)
     }
 
-    /// Wait at a phase barrier; simulated clocks are synchronized to the
-    /// latest arrival.
-    ///
-    /// The *releaser* (last arrival) re-admits every participant to the
-    /// scheduler in one deterministic step before any of them can race
-    /// back from the barrier, and each participant then waits for its
-    /// turn — so the post-barrier execution order is a pure function of
-    /// the synchronized clocks and the seeded tie-break.
-    pub fn barrier(&mut self, barrier: &SimBarrier) {
+    /// Wait at the phase barrier until every thread of the run arrives;
+    /// all of them leave with the latest arrival's clock plus 100 cycles
+    /// (see [`crate::sched::Scheduler::barrier`]).
+    pub fn barrier(&mut self) {
         assert!(!self.in_txn, "barrier inside a transaction");
         self.flush();
-        self.global.scheduler.park(self.tid);
-        let (release, releaser) = barrier.wait_role(self.clock);
-        if releaser {
-            self.global.scheduler.unpark_all(release);
-        }
-        self.global.scheduler.wait_turn(self.tid);
+        let release = self.global.scheduler.barrier(self.tid);
         if let Some(p) = &mut self.prof {
             // The jump to the latest arrival is time spent blocked at
             // the barrier.
-            p.add(ProfBucket::Barrier, release.saturating_sub(self.clock));
+            p.add(ProfBucket::Barrier, release - self.clock);
         }
-        self.clock = self.clock.max(release);
-        self.pending = 0;
+        self.clock = release;
     }
 
     /// Cache-model statistics, when `cache_sim` is enabled.

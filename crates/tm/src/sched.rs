@@ -28,6 +28,15 @@
 //!   deliberately adversarial — interleavings, every one of them
 //!   reproducible and still quantum-bounded.
 //!
+//! The scheduler is the only place a logical thread blocks. A thread
+//! waits for the turn in [`Scheduler::advance`]/[`Scheduler::wait_turn`],
+//! or for the rest of the run at the phase barrier
+//! ([`Scheduler::barrier`]), which parks it out of dispatch and
+//! releases every thread at once at the latest arrival's clock.
+//! Simulated-time waits (commit token, irrevocability gate, eager-HTM
+//! stalls) are plain probe loops whose every probe publishes cycles and
+//! so hands the turn on through `advance`.
+//!
 //! The `bench --bin schedfuzz` harness sweeps seeds in both modes with
 //! the [`crate::verify`] sanitizer recording every transaction, turning
 //! the sanitizer from a spot check into a fuzzing oracle.
@@ -42,6 +51,9 @@ pub const DEFAULT_SCHED_SEED: u64 = 0x5eed_feed;
 /// Default mean gap (in published scheduler steps) between PCT priority
 /// change points.
 pub const DEFAULT_PCT_GAP: u64 = 400;
+
+/// Cycles a phase barrier adds to the latest arrival's clock.
+pub(crate) const BARRIER_CYCLES: u64 = 100;
 
 /// Dispatch policy of the deterministic [`Scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,8 +107,8 @@ impl std::fmt::Display for SchedMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadStatus {
     Running,
-    /// Parked at a barrier (or otherwise descheduled); excluded from
-    /// dispatch until unparked.
+    /// Arrived at the phase barrier; excluded from dispatch until the
+    /// last arrival releases it.
     Parked,
     Done,
 }
@@ -121,6 +133,10 @@ struct SchedState {
     next_low: u64,
     /// Seeded stream for PCT change-point gaps.
     rng: XorShift64,
+    /// Threads parked at the current phase barrier.
+    arrived: usize,
+    /// Latest published clock among the current barrier's arrivals.
+    arrival_max: u64,
 }
 
 /// The deterministic turn-based scheduler: exactly one logical thread
@@ -133,7 +149,11 @@ pub struct Scheduler {
     /// ties); a Fisher–Yates permutation of `0..threads`.
     rank: Vec<u64>,
     state: Mutex<SchedState>,
+    /// Turn changes: threads waiting for the turn sleep here.
     cv: Condvar,
+    /// Barrier releases: parked threads sleep here, so turn handoffs
+    /// never wake them.
+    park_cv: Condvar,
 }
 
 impl Scheduler {
@@ -171,8 +191,11 @@ impl Scheduler {
                 next_change,
                 next_low: PRIO_BASE - 1,
                 rng,
+                arrived: 0,
+                arrival_max: 0,
             }),
             cv: Condvar::new(),
+            park_cv: Condvar::new(),
         }
     }
 
@@ -241,8 +264,7 @@ impl Scheduler {
     }
 
     /// Block until `tid` holds the turn: the gate a logical thread must
-    /// pass before its first shared-state access, and again after every
-    /// barrier release.
+    /// pass before its first shared-state access.
     pub fn wait_turn(&self, tid: usize) {
         let s = self.state.lock();
         self.wait_turn_locked(tid, s);
@@ -271,35 +293,48 @@ impl Scheduler {
         self.wait_turn_locked(tid, s);
     }
 
-    /// Mark `tid` as parked (e.g. at a phase barrier): it no longer
-    /// participates in dispatch and the turn moves on.
-    pub fn park(&self, tid: usize) {
+    /// Phase barrier for all threads of the run: park `tid` at its
+    /// published clock and block until every thread has arrived, then
+    /// until `tid` holds the turn again. Returns the release clock, the
+    /// latest arrival's clock plus 100 cycles.
+    ///
+    /// The last arrival releases every parked thread in one step, under
+    /// the scheduler lock, before any of them can run again: the
+    /// post-barrier dispatch order depends only on clocks, seeded ranks
+    /// and priorities, never on the host order in which the woken
+    /// threads reach the lock.
+    pub fn barrier(&self, tid: usize) -> u64 {
         let mut s = self.state.lock();
+        debug_assert_eq!(s.status[tid], ThreadStatus::Running);
         s.status[tid] = ThreadStatus::Parked;
-        if s.current == Some(tid) {
+        s.arrival_max = s.arrival_max.max(s.clocks[tid]);
+        s.arrived += 1;
+        let woken = if s.arrived == s.clocks.len() {
+            let release = s.arrival_max + BARRIER_CYCLES;
+            s.arrived = 0;
+            s.arrival_max = 0;
+            s.status.fill(ThreadStatus::Running);
+            s.clocks.fill(release);
             s.current = None;
-        }
+            &self.park_cv
+        } else {
+            // Hand the turn on: this thread is out of dispatch until the
+            // release flips its status back.
+            self.pick(&mut s);
+            &self.cv
+        };
+        // Notify outside the lock, as `done` does: a woken thread that
+        // runs at once then finds the lock free instead of sleeping on
+        // it again.
         drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Release every parked thread at the synchronized `clock` in one
-    /// deterministic step. The barrier *releaser* calls this before the
-    /// parked threads observe the release, so the post-barrier dispatch
-    /// order depends only on clocks, seeded ranks, and priorities — not
-    /// on the host order in which the woken threads happen to reach the
-    /// scheduler again.
-    pub fn unpark_all(&self, clock: u64) {
+        woken.notify_all();
         let mut s = self.state.lock();
-        for t in 0..s.status.len() {
-            if s.status[t] == ThreadStatus::Parked {
-                s.status[t] = ThreadStatus::Running;
-                s.clocks[t] = s.clocks[t].max(clock);
-            }
+        while s.status[tid] == ThreadStatus::Parked {
+            self.park_cv.wait(&mut s);
         }
-        s.current = None;
-        drop(s);
-        self.cv.notify_all();
+        let release = s.clocks[tid];
+        self.wait_turn_locked(tid, s);
+        release
     }
 
     /// Mark `tid` as finished.
@@ -447,16 +482,44 @@ mod tests {
     }
 
     #[test]
-    fn parked_thread_does_not_block_others() {
-        let sched = Arc::new(sched(2, 50));
-        sched.park(1);
-        // Thread 0 can run arbitrarily far ahead of the parked thread 1.
-        sched.advance(0, 10_000);
-        assert_eq!(sched.clock(0), 10_000);
-        sched.unpark_all(10_000);
-        assert_eq!(sched.clock(1), 10_000);
-        sched.done(0);
-        sched.done(1);
+    fn barrier_releases_at_latest_arrival_across_generations() {
+        // Thread t works 1000 * t cycles before each of three barriers,
+        // so thread 0 parks at once while the others run many quanta
+        // past it. Every generation releases all three at the latest
+        // arrival + BARRIER_CYCLES.
+        let sched = Arc::new(sched(3, 50));
+        let handles: Vec<_> = (0..3)
+            .map(|tid| {
+                let s = sched.clone();
+                std::thread::spawn(move || {
+                    s.wait_turn(tid);
+                    let mut releases = Vec::new();
+                    for _ in 0..3 {
+                        for _ in 0..tid * 10 {
+                            s.advance(tid, 100);
+                        }
+                        let release = s.barrier(tid);
+                        assert_eq!(s.clock(tid), release);
+                        releases.push(release);
+                    }
+                    s.done(tid);
+                    releases
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), vec![2100, 4200, 6300]);
+        }
+    }
+
+    #[test]
+    fn barrier_with_one_thread_releases_at_once() {
+        let s = sched(1, 50);
+        s.wait_turn(0);
+        s.advance(0, 70);
+        assert_eq!(s.barrier(0), 70 + BARRIER_CYCLES);
+        assert_eq!(s.barrier(0), 70 + 2 * BARRIER_CYCLES);
+        s.done(0);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! barrier.
 
 use crate::addr::{LineAddr, WordAddr};
+use crate::cm::{CmCtx, ContentionManager};
 use crate::config::{MutationHook, SystemKind};
 use crate::fault::{FaultConfig, FaultKind};
 use crate::heap::{TArray, TCell, TmValue};
@@ -228,15 +229,8 @@ impl ThreadCtx {
                 break;
             }
             self.global.active[self.tid].store(false, Ordering::SeqCst);
-            let mut spins = 0u32;
             while self.global.irrevocable.load(Ordering::SeqCst) != NO_PRIORITY {
                 self.spin_charge(20);
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
             }
             self.global.active[self.tid].store(true, Ordering::SeqCst);
         }
@@ -249,15 +243,8 @@ impl ThreadCtx {
         }
         if self.global.config.system == SystemKind::GlobalLock {
             // Coarse-grain lock: serialize the whole transaction.
-            let mut spins = 0u32;
             while !self.global.commit_token.try_acquire() {
                 self.spin_charge(10);
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
             }
         }
         // Derive this attempt's fault stream last, so gate/queue waits
@@ -266,12 +253,7 @@ impl ThreadCtx {
         if let Some(f) = &mut self.fault {
             f.begin_attempt(tid, attempt, clock);
         }
-        let fixed = self
-            .global
-            .config
-            .cost
-            .txn_fixed_for(self.global.config.system);
-        self.charge_tm(fixed);
+        self.charge_txn_fixed();
     }
 
     /// Contention-manager admission control: ask the CM whether this
@@ -284,34 +266,15 @@ impl ThreadCtx {
         if matches!(system, SystemKind::Sequential | SystemKind::GlobalLock) {
             return; // never transactional / already fully serialized
         }
-        let serialize = {
-            let ThreadCtx {
-                cm,
-                rng,
-                global,
-                tid,
-                ..
-            } = self;
-            let mut cctx = crate::cm::CmCtx {
-                tid: *tid,
-                retries,
-                attempt_work: 0,
-                spurious: false,
-                rng,
-                shared: &global.cm_shared,
-            };
-            cm.on_begin(&mut cctx)
-        };
-        if !serialize {
+        let (cm, mut cctx) = self.cm_ctx(retries, 0, false);
+        if !cm.on_begin(&mut cctx) {
             return;
         }
         // The wait advances simulated time only (10 cycles per probe,
         // like the GlobalLock spin), never host wall-clock sleeps.
-        let global = self.global.clone();
-        global.commit_token.acquire_until(|| {
+        while !self.global.commit_token.try_acquire() {
             self.spin_charge(10);
-            true
-        });
+        }
         self.txn.cm_serialized_attempt = true;
         if system == SystemKind::LazyHtm {
             // Reuse the overflow-serialization path: commit and rollback
@@ -320,6 +283,25 @@ impl ThreadCtx {
         } else {
             self.txn.cm_token = true;
         }
+    }
+
+    /// Split-borrow this context into its contention manager and the
+    /// [`CmCtx`] view a callback receives.
+    fn cm_ctx(
+        &mut self,
+        retries: u32,
+        attempt_work: u64,
+        spurious: bool,
+    ) -> (&mut dyn ContentionManager, CmCtx<'_>) {
+        let cctx = CmCtx {
+            tid: self.tid,
+            retries,
+            attempt_work,
+            spurious,
+            rng: &mut self.rng,
+            shared: &self.global.cm_shared,
+        };
+        (&mut *self.cm, cctx)
     }
 
     fn finish_commit(&mut self, start_clock: u64, retries: u32) {
@@ -333,25 +315,8 @@ impl ThreadCtx {
                 .ok();
             self.has_priority = false;
         }
-        {
-            let ThreadCtx {
-                cm,
-                rng,
-                global,
-                txn,
-                tid,
-                ..
-            } = self;
-            let mut cctx = crate::cm::CmCtx {
-                tid: *tid,
-                retries,
-                attempt_work: txn.app_cycles,
-                spurious: false,
-                rng,
-                shared: &global.cm_shared,
-            };
-            cm.on_commit(&mut cctx);
-        }
+        let (cm, mut cctx) = self.cm_ctx(retries, self.txn.app_cycles, false);
+        cm.on_commit(&mut cctx);
         if self.txn.cm_serialized_attempt {
             self.stats.serialized_commits += 1;
         }
@@ -374,25 +339,8 @@ impl ThreadCtx {
         // not to (committed-attempt) overhead.
         let fixed = self.global.config.cost.abort_fixed;
         self.charge_bucket(fixed, ProfBucket::Wasted);
-        let action = {
-            let ThreadCtx {
-                cm,
-                rng,
-                global,
-                txn,
-                tid,
-                ..
-            } = self;
-            let mut cctx = crate::cm::CmCtx {
-                tid: *tid,
-                retries,
-                attempt_work: txn.app_cycles,
-                spurious,
-                rng,
-                shared: &global.cm_shared,
-            };
-            cm.on_abort(&mut cctx)
-        };
+        let (cm, mut cctx) = self.cm_ctx(retries, self.txn.app_cycles, spurious);
+        let action = cm.on_abort(&mut cctx);
         if action.backoff_cycles > 0 {
             // A zero-cycle charge never flushes (pending stays below the
             // flush threshold), so skipping it is interleaving-neutral
@@ -451,7 +399,6 @@ impl ThreadCtx {
         }
         // 1. The irrevocability gate (one escalated transaction at a
         // time; losers wait their turn here).
-        let mut spins = 0u32;
         while self
             .global
             .irrevocable
@@ -459,12 +406,6 @@ impl ThreadCtx {
             .is_err()
         {
             self.spin_charge(20);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         struct IrrevGuard {
             global: std::sync::Arc<crate::runtime::Global>,
@@ -494,29 +435,15 @@ impl ThreadCtx {
         // to resolve. New attempts park at the gate, so once `active`
         // drains, this thread is the only one touching shared data.
         let n = self.global.config.threads;
-        let mut spins = 0u32;
         while (0..n).any(|t| t != self.tid && self.global.active[t].load(Ordering::SeqCst)) {
             self.spin_charge(20);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         // 3. The commit token, for the whole irrevocable execution:
         // read-only fences and lazy commits spin on it, so even a
         // thread mid-attempt when the gate closed cannot slip a commit
         // under our in-place writes.
-        let mut spins = 0u32;
         while !self.global.commit_token.try_acquire() {
             self.spin_charge(10);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         guard.token_held = true;
         loop {
@@ -530,19 +457,14 @@ impl ThreadCtx {
             self.verify_begin_attempt();
             self.prof_begin_attempt();
             self.global.doomed[self.tid].store(false, Ordering::SeqCst);
-            let fixed = self
-                .global
-                .config
-                .cost
-                .txn_fixed_for(self.global.config.system);
-            self.charge_tm(fixed);
+            self.charge_txn_fixed();
             let result = {
                 let mut txn = Txn { ctx: &mut *self };
                 body(&mut txn)
             };
             match result {
                 Ok(value) => {
-                    self.charge_tm(fixed); // commit tail, as in normal commits
+                    self.charge_txn_fixed(); // commit tail, as in normal commits
                     self.txn.undo.clear();
                     self.in_txn = false;
                     self.prof_end_attempt(true);
@@ -861,13 +783,8 @@ impl Txn<'_> {
     /// cost. No conflict detection — the gate and quiesce in
     /// `run_irrevocable` guarantee exclusive execution.
     fn irrev_read(&mut self, addr: WordAddr) -> TxResult<u64> {
-        let cost = &self.ctx.global.config.cost;
-        let tm = match self.ctx.global.config.system {
-            SystemKind::LazyStm => cost.stm_lazy_read,
-            SystemKind::EagerStm => cost.stm_eager_read,
-            SystemKind::LazyHybrid | SystemKind::EagerHybrid => cost.hybrid_read,
-            _ => 0, // HTM reads charge memory latency only
-        };
+        let config = &self.ctx.global.config;
+        let tm = config.cost.read_barrier(config.system);
         self.ctx.charge_tm(tm);
         let line = addr.line();
         self.ctx.txn.read_lines.insert(line.0);
@@ -879,13 +796,8 @@ impl Txn<'_> {
     /// Irrevocable write barrier: eager in-place store (undo-logged so
     /// an explicit application abort can still roll back).
     fn irrev_write(&mut self, addr: WordAddr, value: u64) -> TxResult<()> {
-        let cost = &self.ctx.global.config.cost;
-        let tm = match self.ctx.global.config.system {
-            SystemKind::LazyStm => cost.stm_lazy_write,
-            SystemKind::EagerStm => cost.stm_eager_write,
-            SystemKind::LazyHybrid | SystemKind::EagerHybrid => cost.hybrid_write,
-            _ => 0,
-        };
+        let config = &self.ctx.global.config;
+        let tm = config.cost.write_barrier(config.system);
         self.ctx.charge_tm(tm);
         let line = addr.line();
         self.ctx.txn.write_lines.insert(line.0);
@@ -1132,18 +1044,11 @@ impl Txn<'_> {
     /// Spin (in simulated time) for the global commit token, aborting if
     /// doomed while waiting.
     fn acquire_commit_token(&mut self) -> TxResult<()> {
-        let mut spins = 0u32;
         while !self.ctx.global.commit_token.try_acquire() {
             if self.is_doomed() {
                 return Err(Abort(()));
             }
             self.ctx.spin_charge(10);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         Ok(())
     }
@@ -1155,18 +1060,11 @@ impl Txn<'_> {
     /// the token, so this is sufficient for consistency without
     /// serializing read-only transactions against each other.
     fn read_only_fence(&mut self) -> TxResult<()> {
-        let mut spins = 0u32;
         while self.ctx.global.commit_token.is_locked() {
             if self.is_doomed() {
                 return Err(Abort(()));
             }
             self.ctx.spin_charge(5);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         self.check_doomed()
     }
@@ -1296,9 +1194,6 @@ impl Txn<'_> {
                 self.prof_lost_to_mask(line, remaining);
                 return Err(Abort(()));
             }
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
         }
     }
 
@@ -1334,9 +1229,6 @@ impl Txn<'_> {
                     if spins > 100_000 {
                         self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
                         return Err(Abort(()));
-                    }
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
                     }
                 }
             }
@@ -1562,13 +1454,7 @@ impl Txn<'_> {
     }
 
     fn commit_lazy_stm(&mut self) -> TxResult<()> {
-        let fixed = self
-            .ctx
-            .global
-            .config
-            .cost
-            .txn_fixed_for(self.ctx.global.config.system);
-        self.ctx.charge_tm(fixed);
+        self.ctx.charge_txn_fixed();
         if self.ctx.txn.write_map.is_empty() {
             return Ok(()); // read-only: rv-consistent by TL2 validation
         }
@@ -1643,8 +1529,7 @@ impl Txn<'_> {
 
     fn commit_eager_stm(&mut self) -> TxResult<()> {
         let cost = self.ctx.global.config.cost;
-        self.ctx
-            .charge_tm(cost.txn_fixed_for(self.ctx.global.config.system));
+        self.ctx.charge_txn_fixed();
         let wv = self.ctx.global.clock.increment();
         // Mutation hook: see `commit_lazy_stm`.
         let skip_validation = self.ctx.global.config.mutation == MutationHook::SkipTl2Validation;
@@ -1669,13 +1554,7 @@ impl Txn<'_> {
         if self.ctx.txn.write_map.is_empty() && !self.ctx.txn.serialized {
             self.read_only_fence()?;
             self.release_directory_entries();
-            let fixed = self
-                .ctx
-                .global
-                .config
-                .cost
-                .txn_fixed_for(self.ctx.global.config.system);
-            self.ctx.charge_tm(fixed);
+            self.ctx.charge_txn_fixed();
             return Ok(());
         }
         if !self.ctx.txn.serialized {
@@ -1737,8 +1616,7 @@ impl Txn<'_> {
         self.release_directory_entries();
         self.ctx.global.commit_token.release();
         self.ctx.txn.serialized = false;
-        self.ctx
-            .charge_tm(cost.txn_fixed_for(self.ctx.global.config.system));
+        self.ctx.charge_txn_fixed();
         Ok(())
     }
 
@@ -1747,13 +1625,7 @@ impl Txn<'_> {
         self.release_directory_entries();
         self.ctx.global.overflow_sigs[self.ctx.tid].clear();
         self.ctx.txn.undo.clear();
-        let fixed = self
-            .ctx
-            .global
-            .config
-            .cost
-            .txn_fixed_for(self.ctx.global.config.system);
-        self.ctx.charge_tm(fixed);
+        self.ctx.charge_txn_fixed();
         Ok(())
     }
 
@@ -1791,8 +1663,7 @@ impl Txn<'_> {
             self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
             self.ctx.global.read_sigs[self.ctx.tid].clear();
             self.ctx.global.write_sigs[self.ctx.tid].clear();
-            self.ctx
-                .charge_tm(cost.txn_fixed_for(self.ctx.global.config.system));
+            self.ctx.charge_txn_fixed();
             return Ok(());
         }
         if !cm_held {
@@ -1831,8 +1702,7 @@ impl Txn<'_> {
         if !cm_held {
             self.ctx.global.commit_token.release();
         }
-        self.ctx
-            .charge_tm(cost.txn_fixed_for(self.ctx.global.config.system));
+        self.ctx.charge_txn_fixed();
         Ok(())
     }
 
@@ -1846,13 +1716,7 @@ impl Txn<'_> {
         self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
         self.ctx.global.read_sigs[self.ctx.tid].clear();
         self.ctx.global.write_sigs[self.ctx.tid].clear();
-        let fixed = self
-            .ctx
-            .global
-            .config
-            .cost
-            .txn_fixed_for(self.ctx.global.config.system);
-        self.ctx.charge_tm(fixed);
+        self.ctx.charge_txn_fixed();
         Ok(())
     }
 

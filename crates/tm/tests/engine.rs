@@ -336,11 +336,10 @@ fn barrier_separates_phases() {
         let rt = TmRuntime::new(TmConfig::new(sys, 4));
         let arr = rt.heap().alloc_array::<u64>(4, 0);
         let sum = rt.heap().alloc_cell(0u64);
-        let barrier = rt.new_barrier();
         rt.run(|ctx| {
             let tid = ctx.tid() as u64;
             ctx.atomic(|txn| txn.write_idx(&arr, tid, tid + 1));
-            ctx.barrier(&barrier);
+            ctx.barrier();
             // Phase 2: everyone sees all phase-1 writes.
             let total = ctx.atomic(|txn| {
                 let mut s = 0;

@@ -142,12 +142,11 @@ fn barrier_wait_is_attributed() {
         .sched(SchedMode::MinClock)
         .prof(true);
     let rt = TmRuntime::new(cfg);
-    let barrier = rt.new_barrier();
     let rep = rt.run(|ctx| {
         // Unbalanced phase: thread 0 does 10x the work, the others wait.
         let units = if ctx.tid() == 0 { 10_000 } else { 1_000 };
         ctx.work(units);
-        ctx.barrier(&barrier);
+        ctx.barrier();
         ctx.work(100);
     });
     let prof = rep.prof.as_ref().unwrap();

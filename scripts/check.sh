@@ -22,6 +22,9 @@ cargo run -q --release -p bench --bin ablation_cm -- --smoke
 echo "==> schedfuzz --smoke"
 cargo run -q --release -p bench --bin schedfuzz -- --smoke
 
+echo "==> schedfuzz --golden --check"
+cargo run -q --release -p bench --bin schedfuzz -- --golden --check
+
 echo "==> chaos --smoke"
 cargo run -q --release -p bench --bin chaos -- --smoke
 
@@ -30,5 +33,8 @@ cargo run -q --release -p bench --bin table4 -- --smoke
 
 echo "==> table4 --check"
 cargo run -q --release -p bench --bin table4 -- --check
+
+echo "==> perfbench tests"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "check.sh: all gates passed"
