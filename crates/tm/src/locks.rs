@@ -49,6 +49,15 @@ impl LockWord {
             LockWord::Locked { owner } => ((owner as u64) << 1) | 1,
         }
     }
+
+    /// The owning thread of a locked word, `None` when unlocked.
+    #[inline]
+    pub(crate) fn owner(self) -> Option<usize> {
+        match self {
+            LockWord::Locked { owner } => Some(owner),
+            LockWord::Unlocked { .. } => None,
+        }
+    }
 }
 
 /// The TL2 global version clock.

@@ -194,13 +194,13 @@ impl TmRuntime {
         type Collected = (usize, ThreadStats, Option<ProfThreadReport>);
         let collected: Mutex<Vec<Collected>> = Mutex::new(Vec::with_capacity(n));
         let start = Instant::now();
+        // The scope joins every thread and panics if any of them did.
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
             for tid in 0..n {
                 let global = global.clone();
                 let body = &body;
                 let collected = &collected;
-                handles.push(scope.spawn(move || {
+                scope.spawn(move || {
                     let mut ctx = ThreadCtx::new(tid, global);
                     // Deterministic dispatch gate: only the turn holder
                     // may touch shared state, and that includes the
@@ -224,10 +224,7 @@ impl TmRuntime {
                     }
                     let prof = ctx.prof.take().map(|p| p.into_report(tid, ctx.clock));
                     collected.lock().push((tid, ctx.stats, prof));
-                }));
-            }
-            for h in handles {
-                h.join().expect("worker thread panicked");
+                });
             }
         });
         let wall = start.elapsed();
@@ -743,9 +740,9 @@ impl ThreadCtx {
         self.rng.below(bound)
     }
 
-    /// Wait at the phase barrier until every thread of the run arrives;
-    /// all of them leave with the latest arrival's clock plus 100 cycles
-    /// (see [`crate::sched::Scheduler::barrier`]).
+    /// Wait at the phase barrier until every other thread of the run has
+    /// arrived or finished; all arrivals leave with the latest arrival's
+    /// clock plus 100 cycles (see [`crate::sched::Scheduler::barrier`]).
     pub fn barrier(&mut self) {
         assert!(!self.in_txn, "barrier inside a transaction");
         self.flush();

@@ -28,11 +28,14 @@
 //!   deliberately adversarial — interleavings, every one of them
 //!   reproducible and still quantum-bounded.
 //!
-//! The scheduler is the only place a logical thread blocks. A thread
-//! waits for the turn in [`Scheduler::advance`]/[`Scheduler::wait_turn`],
-//! or for the rest of the run at the phase barrier
-//! ([`Scheduler::barrier`]), which parks it out of dispatch and
-//! releases every thread at once at the latest arrival's clock.
+//! The scheduler is the only place a logical thread blocks, and it
+//! blocks in one way: sleeping on its own Condvar until it is picked as
+//! the turn holder. Whoever changes the holder wakes the new one and
+//! nobody else. [`Scheduler::advance`], [`Scheduler::wait_turn`] and
+//! the phase barrier ([`Scheduler::barrier`]) all wait like that; a
+//! thread at the barrier is simply not runnable until no thread is left
+//! running, when every parked thread resumes at the latest parked clock
+//! plus 100 cycles.
 //! Simulated-time waits (commit token, irrevocability gate, eager-HTM
 //! stalls) are plain probe loops whose every probe publishes cycles and
 //! so hands the turn on through `advance`.
@@ -107,8 +110,8 @@ impl std::fmt::Display for SchedMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadStatus {
     Running,
-    /// Arrived at the phase barrier; excluded from dispatch until the
-    /// last arrival releases it.
+    /// Arrived at the phase barrier; never picked until no thread is
+    /// left running and the barrier releases it.
     Parked,
     Done,
 }
@@ -118,6 +121,7 @@ enum ThreadStatus {
 /// always pairwise distinct and demoted threads rank below everyone.
 const PRIO_BASE: u64 = u64::MAX / 2;
 
+#[derive(Debug)]
 struct SchedState {
     clocks: Vec<u64>,
     status: Vec<ThreadStatus>,
@@ -133,15 +137,34 @@ struct SchedState {
     next_low: u64,
     /// Seeded stream for PCT change-point gaps.
     rng: XorShift64,
-    /// Threads parked at the current phase barrier.
-    arrived: usize,
-    /// Latest published clock among the current barrier's arrivals.
-    arrival_max: u64,
+}
+
+impl SchedState {
+    /// Release the phase barrier once no thread is left running (a
+    /// finished thread counts as arrived): every parked thread becomes
+    /// runnable at the latest parked clock + [`BARRIER_CYCLES`] in one
+    /// step, so post-barrier dispatch depends only on scheduler state.
+    fn release_barrier(&mut self) {
+        if self.status.contains(&ThreadStatus::Running) {
+            return;
+        }
+        let parked: Vec<usize> = (0..self.status.len())
+            .filter(|&t| self.status[t] == ThreadStatus::Parked)
+            .collect();
+        if let Some(latest) = parked.iter().map(|&t| self.clocks[t]).max() {
+            for t in parked {
+                self.status[t] = ThreadStatus::Running;
+                self.clocks[t] = latest + BARRIER_CYCLES;
+            }
+            self.current = None;
+        }
+    }
 }
 
 /// The deterministic turn-based scheduler: exactly one logical thread
 /// runs at a time, chosen by [`SchedMode`] over published clocks with
 /// seeded tie-breaking. See the module docs for the dispatch rules.
+#[derive(Debug)]
 pub struct Scheduler {
     quantum: u64,
     mode: SchedMode,
@@ -149,11 +172,9 @@ pub struct Scheduler {
     /// ties); a Fisher–Yates permutation of `0..threads`.
     rank: Vec<u64>,
     state: Mutex<SchedState>,
-    /// Turn changes: threads waiting for the turn sleep here.
-    cv: Condvar,
-    /// Barrier releases: parked threads sleep here, so turn handoffs
-    /// never wake them.
-    park_cv: Condvar,
+    /// One Condvar per thread: a thread that does not hold the turn
+    /// sleeps on its own, and is woken only when it becomes the holder.
+    wake: Vec<Condvar>,
 }
 
 impl Scheduler {
@@ -191,11 +212,8 @@ impl Scheduler {
                 next_change,
                 next_low: PRIO_BASE - 1,
                 rng,
-                arrived: 0,
-                arrival_max: 0,
             }),
-            cv: Condvar::new(),
-            park_cv: Condvar::new(),
+            wake: (0..threads).map(|_| Condvar::new()).collect(),
         }
     }
 
@@ -242,32 +260,33 @@ impl Scheduler {
         next
     }
 
-    /// Block until `tid` holds the turn.
+    /// Pick the turn holder and, if the turn changed hands, wake the new
+    /// holder unless it is `tid` itself.
+    fn hand_off(&self, tid: usize, s: &mut SchedState) -> Option<usize> {
+        let prev = s.current;
+        let next = self.pick(s);
+        if let Some(holder) = next.filter(|&h| Some(h) != prev && h != tid) {
+            self.wake[holder].notify_one();
+        }
+        next
+    }
+
+    /// Block until `tid` holds the turn: the one wait in the scheduler.
     ///
     /// A thread only ever sleeps here when `pick` selected someone else,
     /// and `pick` records its selection in `current` — so the holder can
-    /// never itself be asleep, and one notification per holder *change*
-    /// suffices (re-notifying on an unchanged holder would only wake
-    /// threads that go straight back to sleep).
-    fn wait_turn_locked(&self, tid: usize, mut s: MutexGuard<'_, SchedState>) {
-        loop {
-            let prev = s.current;
-            let next = self.pick(&mut s);
-            if next == Some(tid) {
-                return;
-            }
-            if next != prev {
-                self.cv.notify_all();
-            }
-            self.cv.wait(&mut s);
+    /// never itself be asleep, and waking the new holder on each holder
+    /// *change* is the only notification needed.
+    fn wait_turn_locked(&self, tid: usize, s: &mut MutexGuard<'_, SchedState>) {
+        while self.hand_off(tid, s) != Some(tid) {
+            self.wake[tid].wait(s);
         }
     }
 
     /// Block until `tid` holds the turn: the gate a logical thread must
     /// pass before its first shared-state access.
     pub fn wait_turn(&self, tid: usize) {
-        let s = self.state.lock();
-        self.wait_turn_locked(tid, s);
+        self.wait_turn_locked(tid, &mut self.state.lock());
     }
 
     /// Publish `cycles` of progress for `tid`, then block until `tid`
@@ -290,81 +309,33 @@ impl Scheduler {
                 s.current = None;
             }
         }
-        self.wait_turn_locked(tid, s);
+        self.wait_turn_locked(tid, &mut s);
     }
 
     /// Phase barrier for all threads of the run: park `tid` at its
-    /// published clock and block until every thread has arrived, then
-    /// until `tid` holds the turn again. Returns the release clock, the
-    /// latest arrival's clock plus 100 cycles.
-    ///
-    /// The last arrival releases every parked thread in one step, under
-    /// the scheduler lock, before any of them can run again: the
-    /// post-barrier dispatch order depends only on clocks, seeded ranks
-    /// and priorities, never on the host order in which the woken
-    /// threads reach the lock.
+    /// published clock and block until the barrier releases it and `tid`
+    /// holds the turn again. Returns the release clock, the latest
+    /// parked clock plus 100 cycles (`BARRIER_CYCLES`).
     pub fn barrier(&self, tid: usize) -> u64 {
         let mut s = self.state.lock();
         debug_assert_eq!(s.status[tid], ThreadStatus::Running);
         s.status[tid] = ThreadStatus::Parked;
-        s.arrival_max = s.arrival_max.max(s.clocks[tid]);
-        s.arrived += 1;
-        let woken = if s.arrived == s.clocks.len() {
-            let release = s.arrival_max + BARRIER_CYCLES;
-            s.arrived = 0;
-            s.arrival_max = 0;
-            s.status.fill(ThreadStatus::Running);
-            s.clocks.fill(release);
-            s.current = None;
-            &self.park_cv
-        } else {
-            // Hand the turn on: this thread is out of dispatch until the
-            // release flips its status back.
-            self.pick(&mut s);
-            &self.cv
-        };
-        // Notify outside the lock, as `done` does: a woken thread that
-        // runs at once then finds the lock free instead of sleeping on
-        // it again.
-        drop(s);
-        woken.notify_all();
-        let mut s = self.state.lock();
-        while s.status[tid] == ThreadStatus::Parked {
-            self.park_cv.wait(&mut s);
-        }
-        let release = s.clocks[tid];
-        self.wait_turn_locked(tid, s);
-        release
+        s.release_barrier();
+        self.wait_turn_locked(tid, &mut s);
+        s.clocks[tid]
     }
 
-    /// Mark `tid` as finished.
+    /// Mark `tid` as finished and hand the turn on.
     pub fn done(&self, tid: usize) {
         let mut s = self.state.lock();
         s.status[tid] = ThreadStatus::Done;
-        if s.current == Some(tid) {
-            s.current = None;
-        }
-        drop(s);
-        self.cv.notify_all();
+        s.release_barrier();
+        self.hand_off(tid, &mut s);
     }
 
     /// The published clock of `tid` (excludes unflushed local cycles).
     pub fn clock(&self, tid: usize) -> u64 {
         self.state.lock().clocks[tid]
-    }
-
-    /// Maximum published clock over all threads: the simulated makespan.
-    pub fn max_clock(&self) -> u64 {
-        self.state.lock().clocks.iter().copied().max().unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("quantum", &self.quantum)
-            .field("mode", &self.mode)
-            .finish()
     }
 }
 
@@ -405,7 +376,7 @@ mod tests {
         // Turn retention allows at most quantum + one advance of skew
         // while both threads are runnable.
         assert!(max_seen.load(Ordering::Relaxed) <= 100 + 10);
-        assert_eq!(sched.max_clock(), 10_000);
+        assert_eq!(sched.clock(0).max(sched.clock(1)), 10_000);
     }
 
     #[test]
@@ -520,6 +491,33 @@ mod tests {
         assert_eq!(s.barrier(0), 70 + BARRIER_CYCLES);
         assert_eq!(s.barrier(0), 70 + 2 * BARRIER_CYCLES);
         s.done(0);
+    }
+
+    #[test]
+    fn done_releases_a_parked_thread() {
+        // Thread 0 parks at clock 70 while thread 1 works on to 1000 and
+        // finishes without reaching the barrier: `done` releases thread
+        // 0 at its own clock + BARRIER_CYCLES.
+        let sched = Arc::new(sched(2, 50));
+        let s0 = sched.clone();
+        let parked = std::thread::spawn(move || {
+            s0.wait_turn(0);
+            s0.advance(0, 70);
+            let release = s0.barrier(0);
+            assert_eq!(s0.clock(0), release);
+            s0.done(0);
+            release
+        });
+        let s1 = sched.clone();
+        let finisher = std::thread::spawn(move || {
+            s1.wait_turn(1);
+            for _ in 0..10 {
+                s1.advance(1, 100);
+            }
+            s1.done(1);
+        });
+        finisher.join().unwrap();
+        assert_eq!(parked.join().unwrap(), 70 + BARRIER_CYCLES);
     }
 
     #[test]

@@ -825,6 +825,13 @@ impl Txn<'_> {
         self.ctx.txn_store_commit(addr, value);
     }
 
+    /// Attribute a conflict on `line` to `aborter` in the profiler, then
+    /// abort the attempt.
+    fn conflict_abort<T>(&self, line: u64, aborter: Option<usize>) -> TxResult<T> {
+        self.ctx.prof_conflict(line, aborter, self.ctx.tid);
+        Err(Abort(()))
+    }
+
     // ----- TL2 STMs -----------------------------------------------------
 
     fn stm_lazy_read(&mut self, addr: WordAddr) -> TxResult<u64> {
@@ -837,17 +844,12 @@ impl Txn<'_> {
         let idx = locks.index_of(addr);
         let w1 = locks.load(idx);
         let LockWord::Unlocked { version: v1 } = w1 else {
-            if let LockWord::Locked { owner } = w1 {
-                self.ctx
-                    .prof_conflict(addr.line().0, Some(owner), self.ctx.tid);
-            }
-            return Err(Abort(()));
+            return self.conflict_abort(addr.line().0, w1.owner());
         };
         if v1 > self.ctx.txn.rv {
             // Version overrun: the conflicting writer already committed
             // and is anonymous.
-            self.ctx.prof_conflict(addr.line().0, None, self.ctx.tid);
-            return Err(Abort(()));
+            return self.conflict_abort(addr.line().0, None);
         }
         // With the sanitizer on, the observation is recorded only after
         // the post-load lock recheck passes: a load that aborts here is
@@ -855,12 +857,7 @@ impl Txn<'_> {
         let (val, pending) = self.ctx.txn_load_pending(addr);
         let w2 = self.ctx.global.locks.load(idx);
         if w2 != w1 {
-            let aborter = match w2 {
-                LockWord::Locked { owner } => Some(owner),
-                LockWord::Unlocked { .. } => None,
-            };
-            self.ctx.prof_conflict(addr.line().0, aborter, self.ctx.tid);
-            return Err(Abort(()));
+            return self.conflict_abort(addr.line().0, w2.owner());
         }
         self.ctx.txn_load_confirm(pending);
         self.ctx.txn.read_locks.push(idx);
@@ -890,25 +887,15 @@ impl Txn<'_> {
                 // stable, so the observation can be recorded directly.
                 self.ctx.txn_load(addr)
             }
-            LockWord::Locked { owner } => {
-                self.ctx
-                    .prof_conflict(addr.line().0, Some(owner), self.ctx.tid);
-                return Err(Abort(()));
-            }
+            LockWord::Locked { owner } => return self.conflict_abort(addr.line().0, Some(owner)),
             w1 @ LockWord::Unlocked { version } => {
                 if version > self.ctx.txn.rv {
-                    self.ctx.prof_conflict(addr.line().0, None, self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(addr.line().0, None);
                 }
                 let (val, pending) = self.ctx.txn_load_pending(addr);
                 let w2 = self.ctx.global.locks.load(idx);
                 if w2 != w1 {
-                    let aborter = match w2 {
-                        LockWord::Locked { owner } => Some(owner),
-                        LockWord::Unlocked { .. } => None,
-                    };
-                    self.ctx.prof_conflict(addr.line().0, aborter, self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(addr.line().0, w2.owner());
                 }
                 self.ctx.txn_load_confirm(pending);
                 self.ctx.txn.read_locks.push(idx);
@@ -930,26 +917,14 @@ impl Txn<'_> {
         let idx = locks.index_of(addr);
         match locks.load(idx) {
             LockWord::Locked { owner } if owner == self.ctx.tid => {}
-            LockWord::Locked { owner } => {
-                self.ctx
-                    .prof_conflict(addr.line().0, Some(owner), self.ctx.tid);
-                return Err(Abort(()));
-            }
+            LockWord::Locked { owner } => return self.conflict_abort(addr.line().0, Some(owner)),
             LockWord::Unlocked { version } => {
                 if version > self.ctx.txn.rv {
-                    self.ctx.prof_conflict(addr.line().0, None, self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(addr.line().0, None);
                 }
                 match locks.try_lock(idx, self.ctx.tid) {
                     Ok(saved) => self.ctx.txn.held_locks.push((idx, saved)),
-                    Err(w) => {
-                        let aborter = match w {
-                            LockWord::Locked { owner } => Some(owner),
-                            LockWord::Unlocked { .. } => None,
-                        };
-                        self.ctx.prof_conflict(addr.line().0, aborter, self.ctx.tid);
-                        return Err(Abort(()));
-                    }
+                    Err(w) => return self.conflict_abort(addr.line().0, w.owner()),
                 }
             }
         }
@@ -1143,8 +1118,7 @@ impl Txn<'_> {
                 let v = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 if self.ctx.global.txn_ts[v].load(Ordering::SeqCst) < my_ts {
-                    self.ctx.prof_conflict(line.0, Some(v), self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(line.0, Some(v));
                 }
             }
         }
@@ -1177,12 +1151,10 @@ impl Txn<'_> {
                 // a conflict we have already lost.
                 if cm_win && !self.ctx.has_priority && self.is_doomed() {
                     self.ctx.stats.priority_losses += 1;
-                    self.ctx.prof_conflict(line.0, None, self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(line.0, None);
                 }
             } else if self.is_doomed() {
-                self.ctx.prof_conflict(line.0, None, self.ctx.tid);
-                return Err(Abort(()));
+                return self.conflict_abort(line.0, None);
             }
             self.ctx.spin_charge(20);
             spins += 1;
@@ -1214,8 +1186,7 @@ impl Txn<'_> {
                     );
                 }
                 if !self.ctx.has_priority {
-                    self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
-                    return Err(Abort(()));
+                    return self.conflict_abort(line.0, Some(t));
                 }
                 // Priority: doom the filter's owner and wait for it to
                 // finish rolling back.
@@ -1227,8 +1198,7 @@ impl Txn<'_> {
                     self.ctx.spin_charge(20);
                     spins += 1;
                     if spins > 100_000 {
-                        self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
-                        return Err(Abort(()));
+                        return self.conflict_abort(line.0, Some(t));
                     }
                 }
             }
@@ -1325,8 +1295,8 @@ impl Txn<'_> {
                     && self.ctx.global.active[t].load(Ordering::Acquire)
                     && self.ctx.global.write_sigs[t].maybe_contains(line)
                 {
-                    self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
-                    return Err(Abort(())); // requester loses; backoff breaks ties
+                    // Requester loses; backoff breaks ties.
+                    return self.conflict_abort(line.0, Some(t));
                 }
             }
         }
@@ -1349,8 +1319,7 @@ impl Txn<'_> {
                     let sig_hit = self.ctx.global.write_sigs[t].maybe_contains(line)
                         || self.ctx.global.read_sigs[t].maybe_contains(line);
                     if sig_hit {
-                        self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
-                        return Err(Abort(()));
+                        return self.conflict_abort(line.0, Some(t));
                     }
                 }
             }
@@ -1478,11 +1447,7 @@ impl Txn<'_> {
             match self.ctx.global.locks.try_lock(idx, self.ctx.tid) {
                 Ok(saved) => acquired.push((idx, saved)),
                 Err(w) => {
-                    let aborter = match w {
-                        LockWord::Locked { owner } => Some(owner),
-                        LockWord::Unlocked { .. } => None,
-                    };
-                    self.ctx.prof_conflict(line, aborter, self.ctx.tid);
+                    self.ctx.prof_conflict(line, w.owner(), self.ctx.tid);
                     for &(i, v) in &acquired {
                         self.ctx.global.locks.unlock(i, v);
                     }

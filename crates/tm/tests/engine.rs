@@ -357,6 +357,30 @@ fn barrier_separates_phases() {
     }
 }
 
+/// A thread that panics before the phase barrier counts as arrived: the
+/// thread waiting there is released and `run` re-raises the panic. The
+/// run happens on a helper thread so that a hang fails the test.
+#[test]
+fn panic_before_barrier_propagates() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, 2));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run(|ctx| {
+                if ctx.tid() == 1 {
+                    panic!("thread 1 fails before the barrier");
+                }
+                ctx.barrier();
+            })
+        }));
+        let _ = tx.send(outcome.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(std::time::Duration::from_secs(15))
+        .expect("run hung at the barrier");
+    assert!(panicked, "run returned instead of re-raising the panic");
+}
+
 /// Sequential mode works and reports zero retries.
 #[test]
 fn sequential_baseline() {
